@@ -37,7 +37,8 @@
 //   - spin-backoff: a for loop that retries an atomic Load or
 //     CompareAndSwap must reach a backoff point — a call into
 //     internal/core/backoff.go, runtime.Gosched, time.Sleep, or a
-//     helper that directly performs one of those.
+//     helper that directly performs one of those, or a blocking
+//     channel receive in the loop itself.
 //   - goroutine-lifecycle: every go statement must be provably joined:
 //     a sync.WaitGroup.Add lexically dominating the spawn with a
 //     reachable Wait, or a spawned body that calls WaitGroup.Done or

@@ -160,13 +160,7 @@ func (b *Broker) shmServe(path string, c *shm.Consumer) {
 				msgs[i] = msg{payload: pl, ingressNS: stamp}
 				bytes += int64(len(pl))
 			}
-			if h != nil {
-				h.EnqueueBatch(msgs)
-			} else {
-				for _, m := range msgs {
-					t.q.Enqueue(m)
-				}
-			}
+			t.enqueue(h, msgs)
 			b.m.ShmMsgs.Add(int64(len(msgs)))
 			b.m.ShmBytes.Add(bytes)
 			continue

@@ -16,6 +16,11 @@ type Reader struct {
 	r   io.Reader
 	hdr [headerSize]byte
 	buf []byte
+	// hdrN and bodyN count the bytes of the current frame read so far.
+	// A read error mid-frame (a deadline firing between the header and
+	// the body) leaves them set, so the next Next resumes that frame
+	// instead of decoding its body as a header.
+	hdrN, bodyN int
 }
 
 // NewReader returns a frame reader over r.
@@ -24,11 +29,20 @@ func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
 // Next reads exactly one frame. It never reads past the declared frame
 // length, so decode errors do not desynchronize the stream (they are
 // terminal for the connection anyway). io.EOF is returned only at a
-// clean frame boundary; EOF mid-frame is io.ErrUnexpectedEOF.
+// clean frame boundary; EOF mid-frame is io.ErrUnexpectedEOF. After
+// any other read error (such as a timeout) the partial frame is kept,
+// and calling Next again resumes it.
 func (r *Reader) Next() (Frame, error) {
 	var f Frame
-	if _, err := io.ReadFull(r.r, r.hdr[:]); err != nil {
-		return f, err // io.EOF here is a clean end of stream
+	if r.hdrN < headerSize {
+		n, err := io.ReadFull(r.r, r.hdr[r.hdrN:])
+		r.hdrN += n
+		if err != nil {
+			if err == io.EOF && r.hdrN > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return f, err // io.EOF here is a clean end of stream
+		}
 	}
 	n := binary.BigEndian.Uint32(r.hdr[:4])
 	if n < 2 {
@@ -42,12 +56,17 @@ func (r *Reader) Next() (Frame, error) {
 		r.buf = make([]byte, body)
 	}
 	buf := r.buf[:body]
-	if _, err := io.ReadFull(r.r, buf); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
+	if r.bodyN < body {
+		n, err := io.ReadFull(r.r, buf[r.bodyN:])
+		r.bodyN += n
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return f, err
 		}
-		return f, err
 	}
+	r.hdrN, r.bodyN = 0, 0
 	f.Type = r.hdr[4]
 	f.Flags = r.hdr[5]
 	f.Body = buf

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"os"
 	"strings"
 	"testing"
 )
@@ -485,6 +486,81 @@ func TestReaderFailClosed(t *testing.T) {
 			t.Fatalf("got %v", err)
 		}
 	})
+}
+
+// scriptReader replays a fixed sequence of reads: each step yields its
+// bytes, or its error when err is set. io.EOF follows the last step.
+type scriptReader struct {
+	steps []scriptStep
+}
+
+type scriptStep struct {
+	b   []byte
+	err error
+}
+
+func (r *scriptReader) Read(p []byte) (int, error) {
+	if len(r.steps) == 0 {
+		return 0, io.EOF
+	}
+	st := &r.steps[0]
+	if st.err != nil {
+		r.steps = r.steps[1:]
+		return 0, st.err
+	}
+	n := copy(p, st.b)
+	st.b = st.b[n:]
+	if len(st.b) == 0 {
+		r.steps = r.steps[1:]
+	}
+	return n, nil
+}
+
+// TestReaderResumesAfterTimeout pins the read-deadline wake: a timeout
+// between a frame's header and its body (or inside either) must leave
+// the frame pending, so the next Next returns it intact instead of
+// decoding the body as a header.
+func TestReaderResumesAfterTimeout(t *testing.T) {
+	var b Buffer
+	b.PutCredit([]byte("orders"), NoPartition, 128)
+	credit := append([]byte(nil), b.Bytes()...)
+	b.Reset()
+	b.PutPing(7, false)
+	ping := append([]byte(nil), b.Bytes()...)
+
+	timeout := scriptStep{err: os.ErrDeadlineExceeded}
+	r := NewReader(&scriptReader{steps: []scriptStep{
+		{b: credit[:headerSize]}, timeout, {b: credit[headerSize:]},
+		{b: ping[:3]}, timeout, {b: ping[3 : headerSize+2]}, timeout, {b: ping[headerSize+2:]},
+	}})
+	next := func() (Frame, error) {
+		t.Helper()
+		for {
+			f, err := r.Next()
+			if !errors.Is(err, os.ErrDeadlineExceeded) {
+				return f, err
+			}
+		}
+	}
+
+	f, err := next()
+	if err != nil {
+		t.Fatalf("credit frame: %v", err)
+	}
+	topic, part, n, err := ParseCredit(f)
+	if err != nil || string(topic) != "orders" || part != NoPartition || n != 128 {
+		t.Fatalf("credit frame = %q/%d/%d, %v; want orders/NoPartition/128", topic, part, n, err)
+	}
+	f, err = next()
+	if err != nil {
+		t.Fatalf("ping frame: %v", err)
+	}
+	if token, err := ParsePing(f); err != nil || token != 7 {
+		t.Fatalf("ping token = %d, %v; want 7", token, err)
+	}
+	if _, err := r.Next(); err != io.EOF {
+		t.Fatalf("after the last frame: %v, want io.EOF", err)
+	}
 }
 
 // TestCopyMessages checks that copied batches survive the reader's
